@@ -30,9 +30,14 @@ race:
 # The capacity tests extend it to the overload plane: a flash-crowd
 # scenario with shedding and breakers enabled is byte-identical at 1 vs 8
 # workers, and a disabled capacity plane is byte-identical to no plane.
+# The batch-flood oracles pin the bit-parallel kernel behind the Fig. 8
+# success sweep and the coverage table to per-trial floods at 1 and 4
+# workers.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestQueryCentricMetricsInert|TestMetricsSnapshotWorkerInvariance|TestRecoveryWindowWorkerInvariance|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
+	$(GO) test -race -run 'TestBatchFloodMatchesCoverage|TestCoverageStatsMatchPerTTLFloods' ./internal/overlay/
+	$(GO) test -race -run 'TestSuccessRateMatchesPerTrialFloods' ./internal/search/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
 # the varint posting codec and the snapshot loader: five seconds of

@@ -10,77 +10,67 @@ import (
 // BFS computes the set of vertices a TTL-bounded flood from origin
 // processes, excluding the origin itself. In two-tier graphs only
 // ultrapeers relay (leaves receive but do not forward), matching Gnutella
-// semantics. The returned epoch buffer can be reused across calls via
-// BFSInto for allocation-free sweeps.
+// semantics. It allocates a fresh engine per call; sweeps over many origins
+// reuse one Coverage instead.
 func (g *Graph) BFS(origin, ttl int) []int32 {
-	visited := make([]int32, 0, 64)
-	mark := make([]int32, g.n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	return g.bfsInto(origin, ttl, mark, 0, visited)
+	return NewCoverage(g).Reached(origin, ttl)
 }
 
 // Coverage is a reusable TTL-bounded flood engine over one graph.
 type Coverage struct {
-	g     *Graph
-	mark  []int32
-	epoch int32
-	buf   []int32
+	g              *Graph
+	mark           []int32 // visited stamp
+	epoch          int32
+	buf            []int32
+	frontier, next []int32
 }
 
 // NewCoverage creates a reusable engine.
 func NewCoverage(g *Graph) *Coverage {
-	mark := make([]int32, g.N())
-	for i := range mark {
-		mark[i] = -1
-	}
-	return &Coverage{g: g, mark: mark}
+	return &Coverage{g: g, mark: make([]int32, g.N())}
 }
 
 // Reached returns the vertices processed by a TTL-bounded flood from
-// origin (origin excluded). The returned slice is reused by the next call.
+// origin (origin excluded), in processing order. The returned slice is
+// reused by the next call.
 func (c *Coverage) Reached(origin, ttl int) []int32 {
-	c.epoch++
-	c.buf = c.g.bfsInto(origin, ttl, c.mark, c.epoch, c.buf[:0])
-	return c.buf
-}
-
-// bfsInto runs the flood, marking visits with the given epoch value.
-func (g *Graph) bfsInto(origin, ttl int, mark []int32, epoch int32, out []int32) []int32 {
+	c.buf = c.buf[:0]
+	g := c.g
 	if origin < 0 || origin >= g.n || ttl < 1 {
-		return out
+		return c.buf
 	}
-	type item struct {
-		v   int32
-		ttl int32
+	c.epoch++
+	if c.epoch == 1<<31-1 {
+		// Stale stamps must never equal a live epoch: start over from a
+		// cleared array rather than wrapping.
+		clear(c.mark)
+		c.epoch = 1
 	}
-	mark[origin] = epoch
-	frontier := make([]item, 0, len(g.adj[origin]))
-	for _, nb := range g.adj[origin] {
-		frontier = append(frontier, item{nb, int32(ttl)})
-	}
-	var next []item
-	for len(frontier) > 0 {
+	epoch := c.epoch
+	c.mark[origin] = epoch
+	frontier := append(c.frontier[:0], g.adj[origin]...)
+	next := c.next[:0]
+	for hop := 1; hop <= ttl && len(frontier) > 0; hop++ {
 		next = next[:0]
-		for _, it := range frontier {
-			if mark[it.v] == epoch {
+		for _, v := range frontier {
+			if c.mark[v] == epoch {
 				continue
 			}
-			mark[it.v] = epoch
-			out = append(out, it.v)
-			if it.ttl <= 1 || !g.Ultra(int(it.v)) {
+			c.mark[v] = epoch
+			c.buf = append(c.buf, v)
+			if hop == ttl || !g.Ultra(int(v)) {
 				continue
 			}
-			for _, nb := range g.adj[it.v] {
-				if mark[nb] != epoch {
-					next = append(next, item{nb, it.ttl - 1})
+			for _, nb := range g.adj[v] {
+				if c.mark[nb] != epoch {
+					next = append(next, nb)
 				}
 			}
 		}
 		frontier, next = next, frontier
 	}
-	return out
+	c.frontier, c.next = frontier, next
+	return c.buf
 }
 
 // CoverageStats reports the mean fraction of the network processed by
@@ -92,8 +82,8 @@ func CoverageStats(g *Graph, maxTTL, samples int, seed uint64) ([]float64, error
 }
 
 // CoverageStatsN is CoverageStats fanned out over a bounded worker pool.
-// Sample i draws its origin from the derived stream "sample/i" and each
-// worker floods through its own Coverage engine; per-sample fractions are
+// Sample i draws its origin from the derived stream "sample/i"; one batch
+// flood to maxTTL answers every TTL at once, and per-sample fractions are
 // summed in sample order, so the result is byte-identical for every
 // workers value.
 func CoverageStatsN(g *Graph, maxTTL, samples int, seed uint64, workers int) ([]float64, error) {
@@ -103,24 +93,16 @@ func CoverageStatsN(g *Graph, maxTTL, samples int, seed uint64, workers int) ([]
 	if samples < 1 {
 		return nil, fmt.Errorf("overlay: samples must be positive, got %d", samples)
 	}
-	base := rng.NewNamed(seed, "overlay/coverage")
-	perSample, err := parallel.MapWith(workers, samples,
-		func() *Coverage { return NewCoverage(g) },
-		func(cov *Coverage, i int) ([]float64, error) {
-			origin := base.Derive(fmt.Sprintf("sample/%d", i)).Intn(g.N())
-			fracs := make([]float64, maxTTL)
-			for ttl := 1; ttl <= maxTTL; ttl++ {
-				fracs[ttl-1] = float64(len(cov.Reached(origin, ttl))) / float64(g.N())
-			}
-			return fracs, nil
-		})
+	perSample, err := sampleHopCounts(g, maxTTL, samples, rng.NewNamed(seed, "overlay/coverage"), workers)
 	if err != nil {
 		return nil, err
 	}
 	sums := make([]float64, maxTTL)
-	for _, fracs := range perSample { // sample order: bit-identical floats
-		for i, f := range fracs {
-			sums[i] += f
+	for _, counts := range perSample { // sample order: bit-identical floats
+		reached := int32(0)
+		for i, c := range counts {
+			reached += c
+			sums[i] += float64(reached) / float64(g.N())
 		}
 	}
 	for i := range sums {
@@ -136,14 +118,6 @@ func MeanQueryHops(g *Graph, ttl, samples int, seed uint64) (float64, error) {
 	return MeanQueryHopsN(g, ttl, samples, seed, 1)
 }
 
-// hopScratch is the per-worker state of a MeanQueryHopsN sample: an
-// epoch-stamped visited array plus reusable level buffers.
-type hopScratch struct {
-	mark        []int32
-	epoch       int32
-	level, next []int32
-}
-
 // MeanQueryHopsN is MeanQueryHops fanned out over a bounded worker pool.
 // Sample i draws its origin from the derived stream "sample/i"; the
 // per-sample (hops, peers) tallies are summed in sample order, so the
@@ -152,54 +126,56 @@ func MeanQueryHopsN(g *Graph, ttl, samples int, seed uint64, workers int) (float
 	if ttl < 1 || samples < 1 {
 		return 0, fmt.Errorf("overlay: invalid ttl %d or samples %d", ttl, samples)
 	}
-	base := rng.NewNamed(seed, "overlay/hops")
-	type tally struct{ hops, peers float64 }
-	perSample, err := parallel.MapWith(workers, samples,
-		func() *hopScratch { return &hopScratch{mark: make([]int32, g.N())} },
-		func(sc *hopScratch, i int) (tally, error) {
-			origin := base.Derive(fmt.Sprintf("sample/%d", i)).Intn(g.N())
-			sc.epoch++
-			s := sc.epoch
-			var t tally
-			// BFS by levels, weighting each level by its hop count.
-			sc.mark[origin] = s
-			level, next := sc.level[:0], sc.next[:0]
-			defer func() { sc.level, sc.next = level[:0], next[:0] }()
-			for _, nb := range g.adj[origin] {
-				level = append(level, nb)
-			}
-			for hop := 1; hop <= ttl && len(level) > 0; hop++ {
-				next = next[:0]
-				for _, v := range level {
-					if sc.mark[v] == s {
-						continue
-					}
-					sc.mark[v] = s
-					t.hops += float64(hop)
-					t.peers++
-					if hop == ttl || !g.Ultra(int(v)) {
-						continue
-					}
-					for _, nb := range g.adj[v] {
-						if sc.mark[nb] != s {
-							next = append(next, nb)
-						}
-					}
-				}
-				level, next = next, level
-			}
-			return t, nil
-		})
+	perSample, err := sampleHopCounts(g, ttl, samples, rng.NewNamed(seed, "overlay/hops"), workers)
 	if err != nil {
 		return 0, err
 	}
 	var totalHops, totalPeers float64
-	for _, t := range perSample {
-		totalHops += t.hops
-		totalPeers += t.peers
+	for _, counts := range perSample {
+		for i, c := range counts {
+			totalHops += float64(i+1) * float64(c)
+			totalPeers += float64(c)
+		}
 	}
 	if totalPeers == 0 {
 		return 0, fmt.Errorf("overlay: floods reached no peers")
 	}
 	return totalHops / totalPeers, nil
+}
+
+// sampleHopCounts floods from each sample's origin, drawn from base's
+// derived stream "sample/i", to maxTTL, BatchWidth samples per kernel pass.
+// It returns, in sample order, how many vertices each flood processes
+// first at each hop 1..maxTTL.
+func sampleHopCounts(g *Graph, maxTTL, samples int, base *rng.Source, workers int) ([][]int32, error) {
+	batches := (samples + BatchWidth - 1) / BatchWidth
+	perBatch, err := parallel.MapWith(workers, batches,
+		func() *BatchFlood { return NewBatchFlood(g) },
+		func(bf *BatchFlood, k int) ([][]int32, error) {
+			lo, hi := k*BatchWidth, min((k+1)*BatchWidth, samples)
+			origins := make([]int32, 0, hi-lo)
+			for i := lo; i < hi; i++ {
+				origins = append(origins, int32(base.Derive(fmt.Sprintf("sample/%d", i)).Intn(g.N())))
+			}
+			newAt := make([][BatchWidth]int32, maxTTL)
+			if err := bf.Run(origins, maxTTL, newAt); err != nil {
+				return nil, err
+			}
+			out := make([][]int32, len(origins))
+			for j := range out {
+				out[j] = make([]int32, maxTTL)
+				for h := range newAt {
+					out[j][h] = newAt[h][j]
+				}
+			}
+			return out, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	perSample := make([][]int32, 0, samples)
+	for _, b := range perBatch {
+		perSample = append(perSample, b...)
+	}
+	return perSample, nil
 }

@@ -121,13 +121,15 @@ type Engine struct {
 
 // Searcher carries the per-goroutine scratch of one search worker:
 // epoch-stamped visited and holder marks, so no per-search map or clearing
-// pass is needed. A Searcher must not be shared between goroutines; the
-// Engine it was built from is read-only and may be shared freely.
+// pass is needed, and the flood's frontier buffers. A Searcher must not be
+// shared between goroutines; the Engine it was built from is read-only and
+// may be shared freely.
 type Searcher struct {
-	e          *Engine
-	mark       []int32 // visited stamp
-	holderMark []int32 // current object's holders stamp
-	epoch      int32
+	e              *Engine
+	mark           []int32 // visited stamp
+	holderMark     []int32 // current object's holders stamp
+	epoch          int32
+	frontier, next []int32
 }
 
 // NewEngine builds a search engine. The placement must cover the graph's
@@ -204,12 +206,9 @@ func (s *Searcher) Flood(origin, obj, ttl int) (Result, error) {
 		return res, nil
 	}
 	s.mark[origin] = epoch
-	frontier := make([]int32, 0, len(e.g.Neighbors(origin)))
-	for _, nb := range e.g.Neighbors(origin) {
-		frontier = append(frontier, nb)
-		res.Messages++
-	}
-	var next []int32
+	frontier := append(s.frontier[:0], e.g.Neighbors(origin)...)
+	res.Messages = len(frontier)
+	next := s.next[:0]
 	found := false
 	for hop := 1; hop <= ttl && len(frontier) > 0; hop++ {
 		next = next[:0]
@@ -241,6 +240,7 @@ func (s *Searcher) Flood(origin, obj, ttl int) (Result, error) {
 		}
 		frontier, next = next, frontier
 	}
+	s.frontier, s.next = frontier, next
 	return res, nil
 }
 
@@ -329,32 +329,61 @@ func (e *Engine) SuccessRate(ttl, trials int, pick func(r *rng.Source) int, seed
 }
 
 // SuccessRateN is SuccessRate fanned out over a bounded worker pool. Each
-// trial derives its own RNG stream from the seed by trial index and each
-// worker floods through its own Searcher, so the result is byte-identical
-// for every workers value (hits are summed in trial order). pick must be
-// safe for concurrent calls (pure functions of r are).
+// trial derives its own RNG stream from the seed by trial index, so the
+// result is byte-identical for every workers value. Trials run
+// overlay.BatchWidth at a time through one overlay.BatchFlood per worker:
+// trial i finds its object iff a holder (its origin included) has bit i
+// set, which is exactly Searcher.Flood's Found. pick must be safe for
+// concurrent calls (pure functions of r are).
 func (e *Engine) SuccessRateN(ttl, trials int, pick func(r *rng.Source) int, seed uint64, workers int) (float64, error) {
 	if trials < 1 {
 		return 0, fmt.Errorf("search: trials must be positive")
 	}
+	if ttl < 1 {
+		return 0, fmt.Errorf("search: TTL must be at least 1, got %d", ttl)
+	}
 	base := rng.NewNamed(seed, "search/success")
-	found, err := parallel.MapWith(workers, trials,
-		func() *Searcher { return e.NewSearcher() },
-		func(s *Searcher, i int) (bool, error) {
-			r := base.Derive(fmt.Sprintf("trial/%d", i))
-			origin := r.Intn(e.g.N())
-			obj := pick(r)
-			res, err := s.Flood(origin, obj, ttl)
-			return res.Found, err
+	type batchScratch struct {
+		bf      *overlay.BatchFlood
+		origins []int32
+		objs    []int
+	}
+	batches := (trials + overlay.BatchWidth - 1) / overlay.BatchWidth
+	found, err := parallel.MapWith(workers, batches,
+		func() *batchScratch { return &batchScratch{bf: overlay.NewBatchFlood(e.g)} },
+		func(sc *batchScratch, k int) (int, error) {
+			lo, hi := k*overlay.BatchWidth, min((k+1)*overlay.BatchWidth, trials)
+			sc.origins, sc.objs = sc.origins[:0], sc.objs[:0]
+			for i := lo; i < hi; i++ {
+				r := base.Derive(fmt.Sprintf("trial/%d", i))
+				origin := r.Intn(e.g.N())
+				obj := pick(r)
+				if err := e.check(origin, obj); err != nil {
+					return 0, err
+				}
+				sc.origins = append(sc.origins, int32(origin))
+				sc.objs = append(sc.objs, obj)
+			}
+			if err := sc.bf.Run(sc.origins, ttl, nil); err != nil {
+				return 0, err
+			}
+			hits := 0
+			for j, obj := range sc.objs {
+				for _, h := range e.place.Holders[obj] {
+					if sc.bf.Seen(h)>>j&1 != 0 {
+						hits++
+						break
+					}
+				}
+			}
+			return hits, nil
 		})
 	if err != nil {
 		return 0, err
 	}
 	hits := 0
-	for _, f := range found {
-		if f {
-			hits++
-		}
+	for _, n := range found {
+		hits += n
 	}
 	return float64(hits) / float64(trials), nil
 }
