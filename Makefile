@@ -32,12 +32,15 @@ race:
 # workers, and a disabled capacity plane is byte-identical to no plane.
 # The batch-flood oracles pin the bit-parallel kernel behind the Fig. 8
 # success sweep and the coverage table to per-trial floods at 1 and 4
-# workers.
+# workers. The shared-dictionary oracles pin a hand-assembled network's
+# floods over the dictionary BuildIndexes gives it to lazy per-peer
+# dictionaries, and its indexes to one checksum at 1 and 8 workers.
 determinism:
 	$(GO) test -race -run 'TestWorkerCountDoesNotChangeResults|TestMetricsDoNotChangeResults|TestQueryCentricMetricsInert|TestMetricsSnapshotWorkerInvariance|TestRecoveryWindowWorkerInvariance|TestSnapshotRoundTripMatchesFreshBuild|TestSnapshotLoadFailsLoudlyInEnv' ./internal/experiments/
 	$(GO) test -race -run 'TestScenarioDeterministicAndWorkerInvariant|TestCapacityScenarioWorkerInvariant|TestCapacityDisabledIsInert' ./internal/events/
 	$(GO) test -race -run 'TestBatchFloodMatchesCoverage|TestCoverageStatsMatchPerTTLFloods' ./internal/overlay/
 	$(GO) test -race -run 'TestSuccessRateMatchesPerTrialFloods' ./internal/search/
+	$(GO) test -race -run 'TestSharedDictMatchesPerPeerDicts|TestSharedDictWorkerInvariant' ./internal/gnet/
 
 # Short fuzz of the wire-message decoder, the churn-timeline generator,
 # the varint posting codec and the snapshot loader: five seconds of

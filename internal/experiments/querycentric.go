@@ -98,8 +98,9 @@ type qcPopulation struct {
 }
 
 // buildNet constructs a fresh, identical flat degree-4 wire-level network
-// over the population. Each arm gets its own build because the adaptive
-// arm mutates topology and libraries.
+// over the population, with its indexes built over one shared term
+// dictionary so every arm floods down the same interned path. Each arm gets
+// its own build because the adaptive arm mutates topology and libraries.
 func (p *qcPopulation) buildNet(e *Env) (*gnet.Network, error) {
 	libs := make([][]string, p.peers)
 	for _, o := range p.objs {
@@ -118,6 +119,9 @@ func (p *qcPopulation) buildNet(e *Env) (*gnet.Network, error) {
 			files[i] = gnet.File{Index: uint32(i), Size: gnet.DrawFileSize(sizeRNG), Name: name}
 		}
 		nw.Peers[id].Library = files
+	}
+	if err := nw.BuildIndexes(e.Workers); err != nil {
+		return nil, err
 	}
 	e.instrumentNetwork(nw)
 	return nw, nil

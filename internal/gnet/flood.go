@@ -225,13 +225,17 @@ func (c *FloodCtx) Flood(origin int, criteria string, ttl int, r *rng.Source) (*
 	// Per-flood hoists: the query's deduped token list resolved to shared
 	// TermIDs (identical for every reached peer), the QRP hash of the
 	// criteria (identical for every candidate edge), the liveness mask,
-	// and whether loss rolls are live. A query term unknown to the shared
-	// dictionary resolves to NoTerm, which no posting index contains, so
-	// such floods still spread and count messages but miss at every peer
-	// after one binary-search probe (the paper's query/annotation mismatch
-	// case). The miss stays per-peer rather than flood-wide because a peer
-	// whose library was mutated after construction matches through its own
-	// local dictionary, which may know terms the shared one never saw.
+	// and whether loss rolls are live. Catalog-built networks have the
+	// shared dictionary from construction, hand-assembled ones from
+	// BuildIndexes; only a network indexed lazily without BuildIndexes has
+	// none, and then every peer resolves through its own. A query term
+	// unknown to the shared dictionary resolves to NoTerm, which no posting
+	// index contains, so such floods still spread and count messages but
+	// miss at every peer after one binary-search probe (the paper's
+	// query/annotation mismatch case). The miss stays per-peer rather than
+	// flood-wide because a peer whose library gained a novel term after
+	// construction matches through its own local dictionary, which may know
+	// terms the shared one never saw.
 	toks := TokenizeQuery(criteria)
 	d := nw.dict
 	matchable := len(toks) > 0

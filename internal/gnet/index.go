@@ -461,8 +461,10 @@ func (p *Peer) buildIndexWith(bs *buildScratch) {
 		return
 	}
 	if p.dict == nil {
-		// Peer assembled without a catalog (tests, hand-built networks):
-		// intern against a dictionary of its own library.
+		// Peer of a hand-assembled network indexed lazily, without
+		// BuildIndexes ever running (tests): intern against a dictionary of
+		// its own library. BuildIndexes gives such networks one shared
+		// dictionary instead (see shareDict).
 		p.dict = dict.FromNames(libraryNames(p.Library), 1)
 	}
 	idx, ok := buildPostings(p.dict, p.Library, bs)
@@ -479,10 +481,15 @@ func (p *Peer) buildIndexWith(bs *buildScratch) {
 // document frequencies floods use to probe rarest-first. Indexes are
 // otherwise built lazily on first Match; building them up front makes
 // construction cost measurable and keeps the first flood off the slow
-// path. The result is identical for every worker count: each peer's index
+// path. A hand-assembled network (New plus Library assignments) first gets
+// one shared dictionary over every library, so its floods resolve each
+// query once rather than once per reached peer, exactly like a
+// catalog-built network. The result is identical for every worker count:
+// dictionary IDs are assigned in sorted term order, each peer's index
 // depends only on its own library and the shared dictionary, and the DF
 // merge is an order-free integer sum.
 func (nw *Network) BuildIndexes(workers int) error {
+	nw.shareDict(workers)
 	err := parallel.ForEachWith(workers, len(nw.Peers), func() *buildScratch { return new(buildScratch) },
 		func(bs *buildScratch, i int) error {
 			p := nw.Peers[i]
@@ -500,6 +507,29 @@ func (nw *Network) BuildIndexes(workers int) error {
 		nw.dict.Compact()
 	}
 	return nil
+}
+
+// shareDict interns every library of a hand-assembled network into one
+// shared dictionary and points every peer at it. It does nothing once the
+// network has a dictionary, on the legacy path, or once any peer holds a
+// dictionary of its own: that peer was indexed lazily, its posting index
+// is keyed by its own dictionary's IDs, and repointing it would make its
+// matches resolve against the wrong IDs.
+func (nw *Network) shareDict(workers int) {
+	if nw.dict != nil {
+		return
+	}
+	libs := make([][]string, len(nw.Peers))
+	for i, p := range nw.Peers {
+		if p.legacy || p.dict != nil {
+			return
+		}
+		libs[i] = libraryNames(p.Library)
+	}
+	nw.dict = dict.Build(libs, workers)
+	for _, p := range nw.Peers {
+		p.dict = nw.dict
+	}
 }
 
 // buildTermDF folds every peer's index into termDF: for each shared-dict
@@ -573,7 +603,8 @@ func (nw *Network) UseLegacyStringIndex() {
 }
 
 // TermDict returns the network-wide interned dictionary (nil for networks
-// without one — hand-assembled peers or after UseLegacyStringIndex).
+// without one — hand-assembled networks before BuildIndexes, or after
+// UseLegacyStringIndex).
 func (nw *Network) TermDict() *dict.Dict { return nw.dict }
 
 // Match returns the library files matching the query criteria under the
@@ -821,7 +852,7 @@ type IndexStats struct {
 	DictTerms  int    // distinct terms in the shared dictionary (0 if none)
 	IndexTerms int    // total distinct (peer, term) pairs
 	Postings   int    // total posting entries across all peers
-	HeapBytes  uint64 // estimated retained bytes: peer indexes + shared dictionary
+	HeapBytes  uint64 // estimated retained bytes: peer indexes + shared and peer-local dictionaries
 	ArenaBytes uint64 // compressed posting-arena bytes (skip arrays + varint arenas)
 }
 
@@ -839,7 +870,16 @@ func (nw *Network) IndexStats() (IndexStats, error) {
 		st.HeapBytes += nw.dict.HeapBytes()
 		st.HeapBytes += uint64(len(nw.termDF)) * 4
 	}
+	// Peer-local dictionaries (fallback peers, or every peer of a network
+	// indexed lazily) are retained heap too; count each one once.
+	local := make(map[*dict.Dict]struct{})
 	for _, p := range nw.Peers {
+		if p.dict != nil && p.dict != nw.dict {
+			if _, dup := local[p.dict]; !dup {
+				local[p.dict] = struct{}{}
+				st.HeapBytes += p.dict.HeapBytes()
+			}
+		}
 		if p.legacy {
 			for tok, posts := range p.termIndex {
 				st.IndexTerms++

@@ -57,16 +57,18 @@ type NetworkState struct {
 // ExportState builds every index (if not already built) and returns the
 // network's persistable state. The returned state shares slices with the
 // live network — treat it as an immutable view and do not mutate the
-// network while it is in use. Only catalog-built networks on the interned
-// path can be exported: legacy string-index networks and peers that fell
-// back to a local dictionary (library mutated after construction) have no
-// shared-dictionary representation to persist.
+// network while it is in use. Catalog-built and hand-assembled networks on
+// the interned path can be exported (BuildIndexes gives the latter their
+// shared dictionary). Legacy string-index networks, networks whose peers
+// were indexed lazily before any BuildIndexes call, and peers that fell
+// back to a local dictionary (a file with a novel term added after
+// construction) have no shared-dictionary representation to persist.
 func (nw *Network) ExportState() (*NetworkState, error) {
-	if nw.dict == nil {
-		return nil, fmt.Errorf("gnet: ExportState: network has no shared dictionary (legacy or hand-assembled)")
-	}
 	if err := nw.BuildIndexes(0); err != nil {
 		return nil, err
+	}
+	if nw.dict == nil {
+		return nil, fmt.Errorf("gnet: ExportState: network has no shared dictionary (legacy string index, or peers indexed lazily before BuildIndexes)")
 	}
 	st := &NetworkState{
 		Config:     nw.Config,

@@ -91,12 +91,10 @@ const (
 // renamed into place only after a successful sync-free close. Returns the
 // file size in bytes.
 func Save(path string, nw *gnet.Network, workers int) (int64, error) {
-	if nw.TermDict() != nil {
-		// Build any still-lazy indexes over the caller's worker budget
-		// first; ExportState's own build call then finds everything done.
-		if err := nw.BuildIndexes(workers); err != nil {
-			return 0, fmt.Errorf("snapshot: %w", err)
-		}
+	// Build any still-lazy indexes over the caller's worker budget first;
+	// ExportState's own build call then finds everything done.
+	if err := nw.BuildIndexes(workers); err != nil {
+		return 0, fmt.Errorf("snapshot: %w", err)
 	}
 	st, err := nw.ExportState()
 	if err != nil {

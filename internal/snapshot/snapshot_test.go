@@ -137,6 +137,79 @@ func TestRoundTripFloodsIdentical(t *testing.T) {
 	}
 }
 
+// TestRoundTripHandAssembled persists a network assembled the way the
+// adaptive head-to-head builds one — gnet.New plus Library assignments, no
+// catalog — whose shared dictionary comes from BuildIndexes. The mapped
+// reload must carry the same decoded indexes and flood identically, QRP
+// decisions included.
+func TestRoundTripHandAssembled(t *testing.T) {
+	cat, err := catalog.Build(catalog.Config{
+		Seed: 13, Peers: 140, UniqueObjects: 140 * 20, ReplicaAlpha: 2.45,
+		VariantProb: 0.05, NonSpecificPeerFrac: 0.03,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := gnet.New(gnet.DefaultConfig(13), len(cat.Libraries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := gnet.NewFileSizeRNG(13)
+	for id, lib := range cat.Libraries {
+		files := make([]gnet.File, len(lib))
+		for i, name := range lib {
+			files[i] = gnet.File{Index: uint32(i), Size: gnet.DrawFileSize(sizes), Name: name}
+		}
+		nw.Peers[id].Library = files
+	}
+	path := filepath.Join(t.TempDir(), "hand.qcsnap")
+	if _, err := Save(path, nw, 2); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	back, err := LoadMapped(path, 0)
+	if err != nil {
+		t.Fatalf("LoadMapped: %v", err)
+	}
+	defer back.Close()
+	want, err := nw.IndexChecksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := back.IndexChecksum(); err != nil || got != want {
+		t.Fatalf("index checksum %#x (err %v), want %#x", got, err, want)
+	}
+	for _, n := range []*gnet.Network{nw, back} {
+		if err := n.EnableQRP(16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctxA, ctxB := nw.NewFloodCtx(), back.NewFloodCtx()
+	for trial := 0; trial < 25; trial++ {
+		origin := trial * 11 % len(nw.Peers)
+		var criteria string
+		for _, p := range nw.Peers[trial:] {
+			if len(p.Library) > 0 {
+				criteria = p.Library[0].Name
+				break
+			}
+		}
+		if trial%4 == 0 {
+			criteria += " zqxjkwv"
+		}
+		ra, err := ctxA.Flood(origin, criteria, 4, rng.New(uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := ctxB.Flood(origin, criteria, 4, rng.New(uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("trial %d diverged:\n%+v\nvs\n%+v", trial, ra, rb)
+		}
+	}
+}
+
 // TestRoundTripTopologyIdentical compares identity, links, libraries and
 // the firewalled mask peer by peer.
 func TestRoundTripTopologyIdentical(t *testing.T) {
